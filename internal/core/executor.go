@@ -9,6 +9,7 @@ import (
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/obs"
+	"adaptivefl/internal/tensor"
 )
 
 // Executor bounds concurrent local-training executions. The synchronous
@@ -75,9 +76,21 @@ func (x *Executor) run(task func()) {
 // overwritten by LoadState, the gradients zeroed by the per-batch
 // ZeroGrads, and the momentum zeroed by SGD.Reset — so reuse is
 // bit-identical to building from scratch (pinned by TestArenaReuseExact).
-// Arenas follow rent/return semantics like tensor's scratch pool: at most
-// one goroutine owns an arena at a time, and steady-state concurrency N
-// keeps N arenas alive.
+//
+// Each arena also owns one tensor.Workspace, bound to every model it
+// caches: a training step's activations, input gradients and backward
+// caches come from it and are handed back by the Reset before each batch,
+// so a step in steady state allocates almost nothing. One workspace per
+// arena, not one per model, keeps the retained memory at arenas × the
+// largest step rather than arenas × models × step (pinned bit-identical to
+// unbound training by TestWorkspaceBitIdentical).
+//
+// Arenas follow rent/return semantics: at most one goroutine owns an
+// arena at a time. Returned arenas wait on a free list capped at
+// GOMAXPROCS, so steady-state concurrency N keeps min(N, GOMAXPROCS)
+// arenas; an arena returned to a full list is dropped. (A sync.Pool kept
+// more: it cannot hand a goroutine an arena parked in another P's private
+// slot, so it built new ones while idle ones waited.)
 
 // arenaKey identifies one model construction.
 type arenaKey struct {
@@ -98,10 +111,11 @@ type arenaEntry struct {
 // run cycles through many width vectors).
 const arenaMaxEntries = 12
 
-// trainArena caches built models and optimizer state across the local
-// trainings one worker executes.
+// trainArena caches built models and optimizer state, and the workspace
+// they all train in, across the local trainings one worker executes.
 type trainArena struct {
 	entries map[arenaKey]*arenaEntry
+	ws      *tensor.Workspace
 }
 
 func widthsSig(widths []int) string {
@@ -112,9 +126,9 @@ func widthsSig(widths []int) string {
 }
 
 // modelFor returns a model (and optimizer) for the given construction,
-// recycled when the arena has seen it before. The caller must load state
-// before training; the optimizer comes hyperparameter-set and with zeroed
-// momentum.
+// recycled when the arena has seen it before and bound to the arena's
+// workspace. The caller must load state before training; the optimizer
+// comes hyperparameter-set and with zeroed momentum.
 func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (*models.Model, []*nn.Param, *nn.SGD, error) {
 	key := arenaKey{cfg: cfg, widths: widthsSig(widths)}
 	if e, ok := a.entries[key]; ok {
@@ -126,6 +140,7 @@ func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	m.Bind(a.ws)
 	if len(a.entries) >= arenaMaxEntries {
 		for k := range a.entries {
 			delete(a.entries, k)
@@ -137,11 +152,28 @@ func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (
 	return e.model, e.params, e.opt, nil
 }
 
-// arenaPool recycles training arenas process-wide. sync.Pool may drop
-// arenas under GC pressure; losing one only costs a rebuild.
-var arenaPool = sync.Pool{New: func() any {
-	return &trainArena{entries: map[arenaKey]*arenaEntry{}}
-}}
+// arenaPool is the process-wide free list of idle arenas.
+var arenaPool struct {
+	mu   sync.Mutex
+	free []*trainArena
+}
 
-func rentArena() *trainArena    { return arenaPool.Get().(*trainArena) }
-func returnArena(a *trainArena) { arenaPool.Put(a) }
+func rentArena() *trainArena {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	if n := len(arenaPool.free); n > 0 {
+		a := arenaPool.free[n-1]
+		arenaPool.free[n-1] = nil
+		arenaPool.free = arenaPool.free[:n-1]
+		return a
+	}
+	return &trainArena{entries: map[arenaKey]*arenaEntry{}, ws: tensor.NewWorkspace()}
+}
+
+func returnArena(a *trainArena) {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	if len(arenaPool.free) < runtime.GOMAXPROCS(0) {
+		arenaPool.free = append(arenaPool.free, a)
+	}
+}

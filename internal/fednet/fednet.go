@@ -271,22 +271,49 @@ func (a *Agent) acceptsCodec(tag string) bool {
 	return false
 }
 
-// countingWriter tallies response body bytes for the request metrics.
-type countingWriter struct {
-	http.ResponseWriter
-	n int64
+// reply is a train/negotiate handler outcome, held back until the agent
+// has recorded the request.
+type reply struct {
+	code int    // HTTP status of an error reply; 0 for a JSON body
+	body []byte // the JSON body, or the error message
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.ResponseWriter.Write(p)
-	c.n += int64(n)
-	return n, err
+func jsonReply(v any) reply {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return errReply(http.StatusInternalServerError, err.Error())
+	}
+	return reply{body: buf.Bytes()}
+}
+
+func errReply(code int, msg string) reply { return reply{code: code, body: []byte(msg)} }
+
+// size is the number of body bytes write sends.
+func (rp reply) size() int64 {
+	if rp.code != 0 {
+		return int64(len(rp.body)) + 1 // http.Error appends a newline
+	}
+	return int64(len(rp.body))
+}
+
+func (rp reply) write(w http.ResponseWriter) {
+	if rp.code != 0 {
+		http.Error(w, string(rp.body), rp.code)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(rp.body)
 }
 
 // ServeHTTP handles POST /train (a dispatch) and GET /train (codec
 // negotiation: the supported tag list). With Metrics set it additionally
 // serves GET /metrics (Prometheus text exposition), optionally the pprof
 // endpoints, and times every train/negotiate request.
+//
+// The request's metrics and wall record are written before the response:
+// once its last byte is out the caller may go on, and even close the wall
+// log, so a record written after it could be lost. The recorded duration
+// therefore covers the handler up to, not including, the response write.
 func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if a.Metrics != nil {
 		switch {
@@ -306,20 +333,23 @@ func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if a.Metrics == nil && a.Wall == nil {
-		a.serveTrain(w, r)
-		return
+	start := time.Now()
+	rp := a.serveTrain(w.Header(), r)
+	if a.Metrics != nil || a.Wall != nil {
+		a.record(r, time.Since(start).Seconds(), rp.size())
 	}
+	rp.write(w)
+}
+
+// record reports one served train/negotiate request to the agent's
+// metrics and wall log.
+func (a *Agent) record(r *http.Request, secs float64, respBytes int64) {
 	route := "train"
 	if r.Method == http.MethodGet {
 		route = "negotiate"
 	}
-	cw := &countingWriter{ResponseWriter: w}
-	start := time.Now()
-	a.serveTrain(cw, r)
-	secs := time.Since(start).Seconds()
 	if a.Metrics != nil {
-		a.Metrics.HTTPRequest(route, secs, r.ContentLength, cw.n)
+		a.Metrics.HTTPRequest(route, secs, r.ContentLength, respBytes)
 	}
 	if a.Wall != nil {
 		flight, _ := strconv.ParseInt(r.Header.Get(FlightHeader), 10, 64)
@@ -330,63 +360,50 @@ func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		_ = a.Wall.Record(obs.WallRecord{
 			Kind: obs.WallKind, Flight: flight, Side: "agent", Route: route,
 			Client: -1, Instance: a.instance, Seconds: secs,
-			ReqBytes: reqBytes, RespBytes: cw.n,
+			ReqBytes: reqBytes, RespBytes: respBytes,
 		})
 	}
 }
 
-// serveTrain is the train/negotiate handler body.
-func (a *Agent) serveTrain(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(instanceHeader, a.instance)
+// serveTrain is the train/negotiate handler body. It sets the response
+// headers on h and returns the reply for ServeHTTP to write.
+func (a *Agent) serveTrain(h http.Header, r *http.Request) reply {
+	h.Set(instanceHeader, a.instance)
 	if fl := r.Header.Get(FlightHeader); fl != "" {
 		// Echo the flight ID so the server can assert the correlation
 		// contract end to end.
-		w.Header().Set(FlightHeader, fl)
+		h.Set(FlightHeader, fl)
 	}
 	if r.Method == http.MethodGet {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(CodecList{Codecs: a.SupportedCodecs(), Instance: a.instance}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
+		return jsonReply(CodecList{Codecs: a.SupportedCodecs(), Instance: a.instance})
 	}
 	if r.Method != http.MethodPost {
-		http.Error(w, "fednet: POST only", http.StatusMethodNotAllowed)
-		return
+		return errReply(http.StatusMethodNotAllowed, "fednet: POST only")
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return errReply(http.StatusBadRequest, err.Error())
 	}
 	var req TrainRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return errReply(http.StatusBadRequest, err.Error())
 	}
 	resp, err := a.Train(req)
-	if err != nil {
+	switch {
+	case err == nil:
+		return jsonReply(resp)
+	case errors.Is(err, errCodecNotAccepted):
 		// A codec this agent does not speak is a negotiation problem, not a
 		// server error: 415 tells the trainer to re-negotiate and retry
 		// (the agent restarted with a different codec set).
-		if errors.Is(err, errCodecNotAccepted) {
-			http.Error(w, err.Error(), http.StatusUnsupportedMediaType)
-			return
-		}
+		return errReply(http.StatusUnsupportedMediaType, err.Error())
+	case errors.Is(err, errArtifactNotHeld):
 		// A revalidation for an artifact this agent no longer holds is a
 		// cache-coherence problem, not a server error: 412 tells the
 		// trainer to forget the delivery and resend the full body.
-		if errors.Is(err, errArtifactNotHeld) {
-			http.Error(w, err.Error(), http.StatusPreconditionFailed)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return errReply(http.StatusPreconditionFailed, err.Error())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	return errReply(http.StatusInternalServerError, err.Error())
 }
 
 // Train executes one dispatch on this device: resource-aware pruning of

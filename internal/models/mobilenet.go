@@ -110,10 +110,17 @@ func (b *invertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		g = b.expand.Backward(g)
 	}
 	if b.residual {
-		g = g.Clone()
-		g.AddInPlace(grad)
+		g.AddInPlace(grad) // g is the first layer's own dx, free to modify
 	}
 	return g
+}
+
+func (b *invertedResidual) sublayers() []nn.Layer {
+	ls := []nn.Layer{b.dw, b.dwBN, b.dwRL, b.project, b.projBN}
+	if b.expand != nil {
+		ls = append(ls, b.expand, b.expandBN, b.expandRL)
+	}
+	return ls
 }
 
 func (b *invertedResidual) Params() []*nn.Param {

@@ -139,6 +139,34 @@ func (m *Model) Params() []*nn.Param {
 
 var _ nn.Layer = (*Model)(nil)
 
+// Bind binds every layer of the model, including the leaves of composite
+// blocks, to ws (nil unbinds). Train-mode activations, input gradients and
+// backward caches then come from ws and stay valid until its next Reset.
+func (m *Model) Bind(ws *tensor.Workspace) { bindLayers(m.Layers, ws) }
+
+// binder is implemented by the nn layers that can take their train-mode
+// buffers from a workspace.
+type binder interface {
+	Bind(ws *tensor.Workspace)
+}
+
+// composite is implemented by blocks built from other layers (the
+// inverted residual, the basic block), so walkers can reach their leaves.
+type composite interface {
+	sublayers() []nn.Layer
+}
+
+func bindLayers(ls []nn.Layer, ws *tensor.Workspace) {
+	for _, l := range ls {
+		switch v := l.(type) {
+		case binder:
+			v.Bind(ws)
+		case composite:
+			bindLayers(v.sublayers(), ws)
+		}
+	}
+}
+
 // Build constructs a model with the given per-unit widths. Passing nil
 // widths builds the full model (widths = Spec().FullWidths).
 func Build(cfg Config, widths []int) (*Model, error) {

@@ -91,6 +91,14 @@ func (b *basicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (b *basicBlock) sublayers() []nn.Layer {
+	ls := []nn.Layer{b.conv1, b.bn1, b.relu1, b.conv2, b.bn2, b.relu2}
+	if b.proj != nil {
+		ls = append(ls, b.proj, b.projBN)
+	}
+	return ls
+}
+
 func (b *basicBlock) Params() []*nn.Param {
 	ps := append(b.conv1.Params(), b.bn1.Params()...)
 	ps = append(ps, b.conv2.Params()...)

@@ -11,7 +11,8 @@ import (
 type ReLU struct {
 	ClampAt float64 // 0 means no upper clamp
 
-	mask []bool
+	wsSlot
+	in *tensor.Tensor // train-mode input, which decides where grad passes
 }
 
 // NewReLU returns a standard rectifier.
@@ -20,31 +21,41 @@ func NewReLU() *ReLU { return &ReLU{} }
 // NewReLU6 returns the MobileNet-style clipped rectifier.
 func NewReLU6() *ReLU { return &ReLU{ClampAt: 6} }
 
-// Forward applies the rectifier element-wise.
+// Forward applies the rectifier element-wise. In evaluation mode it
+// rectifies x in place and returns it.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		pass := v > 0
-		if pass && r.ClampAt > 0 && v > r.ClampAt {
-			out.Data[i] = r.ClampAt
-			pass = false
-		} else if !pass {
-			out.Data[i] = 0
+	if !train {
+		r.in = nil
+		for i, v := range x.Data {
+			if !(v > 0) {
+				x.Data[i] = 0
+			} else if r.ClampAt > 0 && v > r.ClampAt {
+				x.Data[i] = r.ClampAt
+			}
 		}
-		r.mask[i] = pass
+		return x
+	}
+	r.in = x
+	out := r.ws.Take(x.Shape...)
+	for i, v := range x.Data {
+		if !(v > 0) {
+			v = 0
+		} else if r.ClampAt > 0 && v > r.ClampAt {
+			v = r.ClampAt
+		}
+		out.Data[i] = v
 	}
 	return out
 }
 
-// Backward zeroes gradient where the forward pass saturated.
+// Backward zeroes gradient where the forward pass saturated: where the
+// input was not positive, or above the clamp.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	for i := range out.Data {
-		if !r.mask[i] {
+	out := r.ws.Take(grad.Shape...)
+	for i, g := range grad.Data {
+		if v := r.in.Data[i]; v > 0 && !(r.ClampAt > 0 && v > r.ClampAt) {
+			out.Data[i] = g
+		} else {
 			out.Data[i] = 0
 		}
 	}
@@ -60,6 +71,7 @@ type Dropout struct {
 	P   float64
 	rng *rand.Rand
 
+	wsSlot
 	mask []bool
 }
 
@@ -72,18 +84,18 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		d.mask = d.mask[:0]
 		return x
 	}
-	out := x.Clone()
+	out := d.ws.Take(x.Shape...)
 	if cap(d.mask) < len(out.Data) {
 		d.mask = make([]bool, len(out.Data))
 	}
 	d.mask = d.mask[:len(out.Data)]
 	scale := 1 / (1 - d.P)
-	for i := range out.Data {
+	for i, v := range x.Data {
 		if d.rng.Float64() < d.P {
 			out.Data[i] = 0
 			d.mask[i] = false
 		} else {
-			out.Data[i] *= scale
+			out.Data[i] = v * scale
 			d.mask[i] = true
 		}
 	}
@@ -95,11 +107,11 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(d.mask) == 0 {
 		return grad
 	}
-	out := grad.Clone()
+	out := d.ws.Take(grad.Shape...)
 	scale := 1 / (1 - d.P)
-	for i := range out.Data {
+	for i, g := range grad.Data {
 		if d.mask[i] {
-			out.Data[i] *= scale
+			out.Data[i] = g * scale
 		} else {
 			out.Data[i] = 0
 		}

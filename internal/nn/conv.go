@@ -24,12 +24,24 @@ type Conv2D struct {
 	UseBias                   bool
 
 	weight, bias *Param
+	wsSlot
 
 	// forward cache, retained only for train-mode forwards; eval-mode
 	// forwards release it so inference does not pin the column buffer.
 	in     *tensor.Tensor
 	cols   *tensor.Tensor // im2col blocks [N, InC*K*K, OH*OW]
 	oh, ow int
+
+	// Reusable headers over slices of the layer's buffers, so the
+	// per-sample loops allocate nothing: wm and dwm view the weight and
+	// its gradient as [OutC, InC*K*K]; views holds one set per worker.
+	wm, dwm tensor.Tensor
+	views   []convViews
+}
+
+// convViews are one worker's per-sample headers.
+type convViews struct {
+	x, cols, out tensor.Tensor
 }
 
 // NewConv2D builds a convolution layer with He-initialised weights. The
@@ -45,6 +57,20 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int, bias 
 	return c
 }
 
+// Bind makes the layer take its train-mode buffers from ws; nil unbinds.
+// It drops the column cache the layer keeps while unbound, so no buffer
+// is owned by both.
+func (c *Conv2D) Bind(ws *tensor.Workspace) {
+	c.ws = ws
+	c.in, c.cols = nil, nil
+}
+
+// pointwise reports a 1×1, stride-1, unpadded convolution, whose im2col
+// is the identity: each sample's [InC, H*W] input block is already its
+// column block, so nothing is unfolded or cached, and Backward writes dX
+// without folding it (Col2Im of a 1×1 block only adds it to zeros).
+func (c *Conv2D) pointwise() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 }
+
 // Forward computes the convolution over a batch.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, ci, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -56,71 +82,46 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	spatial := c.oh * c.ow
 	rows := c.InC * c.K * c.K
 
-	var cols *tensor.Tensor
+	ws := c.train(train)
 	if train {
-		if c.cols == nil || c.cols.Shape[0] != n || c.cols.Shape[1] != rows || c.cols.Shape[2] != spatial {
+		switch {
+		case c.pointwise():
+			c.cols = nil
+		case ws != nil:
+			c.cols = ws.Take(n, rows, spatial)
+		case c.cols == nil || c.cols.Shape[0] != n || c.cols.Shape[1] != rows || c.cols.Shape[2] != spatial:
 			c.cols = tensor.New(n, rows, spatial)
 		}
-		cols = c.cols
 		c.in = x
 	} else {
-		// Eval-mode forwards don't keep column blocks for a backward pass,
-		// so one scratch block from the size-keyed pool is reused for
-		// every sample instead of allocating per call.
-		cols = tensor.GetScratch(rows, spatial)
 		c.in, c.cols = nil, nil
 	}
 
 	// One GEMM per sample, written straight into the sample's [OutC,
 	// spatial] block of the output — the GEMM destination IS the final
 	// layout, so nothing is scattered afterwards. Samples touch disjoint
-	// cols and output blocks, so they run concurrently when workers are
-	// available (each element is still computed by exactly one fixed code
-	// path, so results stay bitwise independent of the parallelism).
-	wm := c.weight.Val.Reshape(c.OutC, rows)
-	out := tensor.New(n, c.OutC, c.oh, c.ow)
-	doSample := func(s int, colsS *tensor.Tensor) {
-		xs := tensor.FromSlice(x.Data[s*ci*h*w:(s+1)*ci*h*w], ci, h, w)
-		tensor.Im2Col(xs, c.K, c.K, c.Stride, c.Pad, colsS)
-		outS := tensor.FromSlice(out.Data[s*c.OutC*spatial:(s+1)*c.OutC*spatial], c.OutC, spatial)
-		tensor.Gemm(false, false, 1, wm, colsS, 0, outS)
+	// cols and output blocks, so workers split them when available (each
+	// element is still computed by exactly one fixed code path, so results
+	// stay bitwise independent of the parallelism).
+	c.wm.SetView(c.weight.Val.Data, c.OutC, rows)
+	out := ws.Take(n, c.OutC, c.oh, c.ow)
+	par := max(1, min(tensor.Parallelism(), n))
+	for len(c.views) < par {
+		c.views = append(c.views, convViews{})
 	}
-	trainCols := func(s int) *tensor.Tensor {
-		return tensor.FromSlice(cols.Data[s*rows*spatial:(s+1)*rows*spatial], rows, spatial)
-	}
-	if par := tensor.Parallelism(); par > 1 && n > 1 {
-		if par > n {
-			par = n
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for s := 0; s < n; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if train {
-					doSample(s, trainCols(s))
-					return
-				}
-				colsS := tensor.GetScratch(rows, spatial)
-				doSample(s, colsS)
-				tensor.PutScratch(colsS)
-			}(s)
-		}
-		wg.Wait()
+	if par == 1 {
+		c.forwardSamples(x, out, 0, 1, train)
 	} else {
-		for s := 0; s < n; s++ {
-			if train {
-				doSample(s, trainCols(s))
-			} else {
-				doSample(s, cols)
-			}
+		var wg sync.WaitGroup
+		wg.Add(par - 1)
+		for wk := 1; wk < par; wk++ {
+			go func(wk int) {
+				defer wg.Done()
+				c.forwardSamples(x, out, wk, par, train)
+			}(wk)
 		}
-	}
-	if !train {
-		tensor.PutScratch(cols)
+		c.forwardSamples(x, out, 0, par, train)
+		wg.Wait()
 	}
 	if c.UseBias {
 		for s := 0; s < n; s++ {
@@ -136,12 +137,43 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
+// forwardSamples convolves samples wk, wk+stride, … of x into out on
+// worker wk's views. Train-mode forwards unfold each sample into its block
+// of the cached cols; eval-mode forwards reuse one pooled scratch block; a
+// pointwise conv reads the sample's input block as it is.
+func (c *Conv2D) forwardSamples(x, out *tensor.Tensor, wk, stride int, train bool) {
+	n, ci, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	spatial := c.oh * c.ow
+	rows := c.InC * c.K * c.K
+	v := &c.views[wk]
+	var scratch *tensor.Tensor
+	if !train && !c.pointwise() {
+		scratch = tensor.GetScratch(rows, spatial)
+		defer tensor.PutScratch(scratch)
+	}
+	for s := wk; s < n; s += stride {
+		xS := x.Data[s*ci*h*w : (s+1)*ci*h*w]
+		cols := scratch
+		switch {
+		case c.pointwise():
+			cols = v.cols.SetView(xS, rows, spatial)
+		case train:
+			cols = v.cols.SetView(c.cols.Data[s*rows*spatial:(s+1)*rows*spatial], rows, spatial)
+		}
+		if !c.pointwise() {
+			tensor.Im2Col(v.x.SetView(xS, ci, h, w), c.K, c.K, c.Stride, c.Pad, cols)
+		}
+		v.out.SetView(out.Data[s*c.OutC*spatial:(s+1)*c.OutC*spatial], c.OutC, spatial)
+		tensor.Gemm(false, false, 1, &c.wm, cols, 0, &v.out)
+	}
+}
+
 // Backward accumulates dW (and db) and returns dX. The grad's per-sample
 // [OutC, spatial] blocks are used as GEMM operands in place — the layout
 // Forward writes is exactly the layout backward needs, so the former
 // [OutC, N*spatial] gather buffer is gone.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.in == nil || c.cols == nil {
+	if c.in == nil || (c.cols == nil && !c.pointwise()) {
 		panic(fmt.Sprintf("nn: conv %s Backward without a train-mode Forward", c.weight.Name))
 	}
 	n := grad.Shape[0]
@@ -149,19 +181,34 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	rows := c.InC * c.K * c.K
 	h, w := c.in.Shape[2], c.in.Shape[3]
 
-	dwm := c.weight.Grad.Reshape(c.OutC, rows)
-	wm := c.weight.Val.Reshape(c.OutC, rows)
-	dx := tensor.New(n, c.InC, h, w)
-	dcols := tensor.GetScratch(rows, spatial)
+	c.dwm.SetView(c.weight.Grad.Data, c.OutC, rows)
+	c.wm.SetView(c.weight.Val.Data, c.OutC, rows)
+	dx := c.ws.Take(n, c.InC, h, w) // every sample's plane is overwritten
+	cols := c.cols
+	var dcols *tensor.Tensor
+	switch {
+	case c.pointwise():
+		cols = c.in
+	case c.ws != nil:
+		dcols = c.ws.Take(rows, spatial)
+	default:
+		dcols = tensor.GetScratch(rows, spatial)
+		defer tensor.PutScratch(dcols)
+	}
+	v := &c.views[0]
 	for s := 0; s < n; s++ {
-		gS := tensor.FromSlice(grad.Data[s*c.OutC*spatial:(s+1)*c.OutC*spatial], c.OutC, spatial)
-		colsS := tensor.FromSlice(c.cols.Data[s*rows*spatial:(s+1)*rows*spatial], rows, spatial)
+		gS := v.out.SetView(grad.Data[s*c.OutC*spatial:(s+1)*c.OutC*spatial], c.OutC, spatial)
+		colsS := v.cols.SetView(cols.Data[s*rows*spatial:(s+1)*rows*spatial], rows, spatial)
 		// dW += g_s · cols_sᵀ
-		tensor.Gemm(false, true, 1, gS, colsS, 1, dwm)
+		tensor.Gemm(false, true, 1, gS, colsS, 1, &c.dwm)
 		// dcols_s = Wᵀ · g_s, folded back into the sample's dX plane.
-		tensor.Gemm(true, false, 1, wm, gS, 0, dcols)
-		dxS := tensor.FromSlice(dx.Data[s*c.InC*h*w:(s+1)*c.InC*h*w], c.InC, h, w)
-		tensor.Col2Im(dcols, c.InC, h, w, c.K, c.K, c.Stride, c.Pad, dxS)
+		dxS := dx.Data[s*c.InC*h*w : (s+1)*c.InC*h*w]
+		if c.pointwise() {
+			tensor.Gemm(true, false, 1, &c.wm, gS, 0, v.x.SetView(dxS, rows, spatial))
+		} else {
+			tensor.Gemm(true, false, 1, &c.wm, gS, 0, dcols)
+			tensor.Col2Im(dcols, c.InC, h, w, c.K, c.K, c.Stride, c.Pad, v.x.SetView(dxS, c.InC, h, w))
+		}
 		if c.UseBias {
 			for o := 0; o < c.OutC; o++ {
 				row := gS.Data[o*spatial : (o+1)*spatial]
@@ -173,7 +220,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	tensor.PutScratch(dcols)
 	return dx
 }
 
@@ -196,8 +242,9 @@ type DepthwiseConv2D struct {
 	UseBias           bool
 
 	weight, bias *Param
-	in           *tensor.Tensor
-	oh, ow       int
+	wsSlot
+	in     *tensor.Tensor
+	oh, ow int
 }
 
 // NewDepthwiseConv2D builds a depthwise convolution layer.
@@ -241,17 +288,19 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.oh = tensor.ConvOutSize(h, d.K, d.Stride, d.Pad)
 	d.ow = tensor.ConvOutSize(w, d.K, d.Stride, d.Pad)
-	out := tensor.New(n, c, d.oh, d.ow)
+	out := d.train(train).Take(n, c, d.oh, d.ow)
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
 			xIn := x.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
 			ker := d.weight.Val.Data[ch*d.K*d.K : (ch+1)*d.K*d.K]
 			yOut := out.Data[(s*c+ch)*d.oh*d.ow : (s*c+ch+1)*d.oh*d.ow]
+			// The taps accumulate into yOut, which starts at the bias.
+			b := 0.0
 			if d.UseBias {
-				b := d.bias.Val.Data[ch]
-				for i := range yOut {
-					yOut[i] = b
-				}
+				b = d.bias.Val.Data[ch]
+			}
+			for i := range yOut {
+				yOut[i] = b
 			}
 			for ki := 0; ki < d.K; ki++ {
 				oiLo, oiHi := tapRange(ki, d.Stride, d.Pad, h, d.oh)
@@ -292,7 +341,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	n, c := grad.Shape[0], grad.Shape[1]
 	h, w := d.in.Shape[2], d.in.Shape[3]
-	dx := tensor.New(n, c, h, w)
+	dx := d.ws.Take(n, c, h, w)
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
 			xIn := d.in.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
@@ -300,6 +349,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			ker := d.weight.Val.Data[ch*d.K*d.K : (ch+1)*d.K*d.K]
 			dker := d.weight.Grad.Data[ch*d.K*d.K : (ch+1)*d.K*d.K]
 			dxs := dx.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
+			clear(dxs) // the taps accumulate into it
 			for ki := 0; ki < d.K; ki++ {
 				oiLo, oiHi := tapRange(ki, d.Stride, d.Pad, h, d.oh)
 				for kj := 0; kj < d.K; kj++ {

@@ -7,6 +7,18 @@
 // dense layers take [N,F]. A layer caches whatever its Backward pass needs
 // during Forward, so the usual usage is strictly
 // Forward → Backward → optimizer step.
+//
+// Buffer ownership. A tensor a layer returns belongs to that layer: a
+// train-mode output, or a gradient from Backward, is valid until the
+// layer's next Forward or Backward. A layer bound to a tensor.Workspace
+// by its Bind method takes its train-mode outputs, input gradients and
+// backward caches from the workspace, and they stay valid until the
+// workspace's next Reset; an unbound layer allocates them. In evaluation mode ReLU
+// and BatchNorm2D write their result over their input and return it, so
+// a caller that still needs an eval-mode input must pass a copy. A caller
+// may modify a returned tensor in place (a residual add does) until it
+// hands it to another layer: layers read their train-mode input again in
+// Backward, so it must not change in between.
 package nn
 
 import (
@@ -44,6 +56,23 @@ type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+}
+
+// wsSlot holds the workspace binding of a layer that embeds it.
+type wsSlot struct {
+	ws *tensor.Workspace
+}
+
+// Bind makes the layer take its train-mode buffers from ws; nil unbinds.
+func (s *wsSlot) Bind(ws *tensor.Workspace) { s.ws = ws }
+
+// train returns the workspace train-mode buffers come from: the bound one
+// in training, nil (fresh allocations) in evaluation.
+func (s *wsSlot) train(train bool) *tensor.Workspace {
+	if train {
+		return s.ws
+	}
+	return nil
 }
 
 // Sequential chains layers. It implements Layer.

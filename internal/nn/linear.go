@@ -15,7 +15,8 @@ type Linear struct {
 	UseBias bool
 
 	weight, bias *Param
-	in           *tensor.Tensor
+	wsSlot
+	in *tensor.Tensor
 }
 
 // NewLinear builds a dense layer with He-initialised weights.
@@ -36,7 +37,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	l.in = x
 	n := x.Shape[0]
-	y := tensor.New(n, l.Out)
+	y := l.train(train).Take(n, l.Out)
 	tensor.Gemm(false, true, 1, x, l.weight.Val, 0, y)
 	if l.UseBias {
 		for s := 0; s < n; s++ {
@@ -61,7 +62,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	dx := tensor.New(n, l.In)
+	dx := l.ws.Take(n, l.In)
 	tensor.Gemm(false, false, 1, grad, l.weight.Val, 0, dx)
 	return dx
 }

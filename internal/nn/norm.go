@@ -18,11 +18,13 @@ type BatchNorm2D struct {
 
 	gamma, beta             *Param
 	runningMean, runningVar *Param
+	wsSlot
 
-	// forward cache
-	in     *tensor.Tensor
-	xhat   *tensor.Tensor
-	invStd []float64
+	// forward cache: the input and its per-channel batch statistics.
+	// Backward recomputes the normalised activations from them instead of
+	// keeping a copy.
+	in           *tensor.Tensor
+	mean, invStd []float64
 }
 
 // NewBatchNorm2D builds a batch-norm layer with gamma=1, beta=0.
@@ -36,28 +38,23 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 }
 
 // Forward normalises with batch statistics in training mode and running
-// statistics in evaluation mode.
+// statistics in evaluation mode. In evaluation mode it normalises x in
+// place and returns it.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if c != b.C {
 		panic(fmt.Sprintf("nn: batchnorm %s expects %d channels, got %d", b.gamma.Name, b.C, c))
 	}
-	out := tensor.New(n, c, h, w)
 	spatial := h * w
 	m := float64(n * spatial)
 
 	if train {
+		out := b.ws.Take(n, c, h, w)
 		b.in = x
-		// Reuse the normalised-activation cache across steps (and across
-		// the dispatches of an arena-recycled model): every element is
-		// overwritten below before Backward reads it.
-		if b.xhat == nil || !tensor.SameShape(b.xhat, x) {
-			b.xhat = tensor.New(n, c, h, w)
-		}
 		if cap(b.invStd) < c {
-			b.invStd = make([]float64, c)
+			b.mean, b.invStd = make([]float64, c), make([]float64, c)
 		}
-		b.invStd = b.invStd[:c]
+		b.mean, b.invStd = b.mean[:c], b.invStd[:c]
 		for ch := 0; ch < c; ch++ {
 			mean, sq := 0.0, 0.0
 			for s := 0; s < n; s++ {
@@ -74,13 +71,12 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				variance = 0
 			}
 			inv := 1 / math.Sqrt(variance+b.Eps)
-			b.invStd[ch] = inv
+			b.mean[ch], b.invStd[ch] = mean, inv
 			g, bt := b.gamma.Val.Data[ch], b.beta.Val.Data[ch]
 			for s := 0; s < n; s++ {
 				base := (s*c + ch) * spatial
 				for i := 0; i < spatial; i++ {
 					xh := (x.Data[base+i] - mean) * inv
-					b.xhat.Data[base+i] = xh
 					out.Data[base+i] = g*xh + bt
 				}
 			}
@@ -97,11 +93,11 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for s := 0; s < n; s++ {
 			base := (s*c + ch) * spatial
 			for i := 0; i < spatial; i++ {
-				out.Data[base+i] = g*(x.Data[base+i]-mean)*inv + bt
+				x.Data[base+i] = g*(x.Data[base+i]-mean)*inv + bt
 			}
 		}
 	}
-	return out
+	return x
 }
 
 // Backward implements the standard batch-norm gradient.
@@ -109,17 +105,17 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := grad.Shape[0], grad.Shape[1], grad.Shape[2], grad.Shape[3]
 	spatial := h * w
 	m := float64(n * spatial)
-	dx := tensor.New(n, c, h, w)
+	dx := b.ws.Take(n, c, h, w)
 	for ch := 0; ch < c; ch++ {
 		g := b.gamma.Val.Data[ch]
-		inv := b.invStd[ch]
+		mean, inv := b.mean[ch], b.invStd[ch]
 		sumDy, sumDyXhat := 0.0, 0.0
 		for s := 0; s < n; s++ {
 			base := (s*c + ch) * spatial
 			for i := 0; i < spatial; i++ {
 				dy := grad.Data[base+i]
 				sumDy += dy
-				sumDyXhat += dy * b.xhat.Data[base+i]
+				sumDyXhat += dy * ((b.in.Data[base+i] - mean) * inv)
 			}
 		}
 		b.beta.Grad.Data[ch] += sumDy
@@ -129,7 +125,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			base := (s*c + ch) * spatial
 			for i := 0; i < spatial; i++ {
 				dy := grad.Data[base+i]
-				xh := b.xhat.Data[base+i]
+				xh := (b.in.Data[base+i] - mean) * inv
 				dx.Data[base+i] = k1 * (m*dy - sumDy - xh*sumDyXhat)
 			}
 		}

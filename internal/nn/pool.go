@@ -10,6 +10,7 @@ import (
 type MaxPool2D struct {
 	K, Stride int
 
+	wsSlot
 	argmax  []int
 	inShape []int
 }
@@ -23,7 +24,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
 	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, oh, ow)
+	out := p.train(train).Take(n, c, oh, ow)
 	if cap(p.argmax) < out.Numel() {
 		p.argmax = make([]int, out.Numel())
 	}
@@ -62,7 +63,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes each output gradient to its window's argmax.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.inShape...)
+	dx := p.ws.Zeros(p.inShape...)
 	for i, at := range p.argmax {
 		dx.Data[at] += grad.Data[i]
 	}
@@ -75,6 +76,7 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // GlobalAvgPool2D averages each channel's spatial map to a single value,
 // producing [N, C, 1, 1].
 type GlobalAvgPool2D struct {
+	wsSlot
 	inShape []int
 }
 
@@ -85,7 +87,7 @@ func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
 func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, 1, 1)
+	out := p.train(train).Take(n, c, 1, 1)
 	spatial := h * w
 	for i := 0; i < n*c; i++ {
 		s := 0.0
@@ -99,7 +101,7 @@ func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward spreads each gradient uniformly over its spatial map.
 func (p *GlobalAvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.inShape...)
+	dx := p.ws.Take(p.inShape...)
 	spatial := p.inShape[2] * p.inShape[3]
 	inv := 1 / float64(spatial)
 	for i := 0; i < p.inShape[0]*p.inShape[1]; i++ {
@@ -118,6 +120,7 @@ func (p *GlobalAvgPool2D) Params() []*Param { return nil }
 type AvgPool2D struct {
 	K, Stride int
 
+	wsSlot
 	inShape []int
 }
 
@@ -130,7 +133,7 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
 	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, oh, ow)
+	out := p.train(train).Take(n, c, oh, ow)
 	inv := 1 / float64(p.K*p.K)
 	idx := 0
 	for s := 0; s < n; s++ {
@@ -158,7 +161,7 @@ func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
 	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
 	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
-	dx := tensor.New(p.inShape...)
+	dx := p.ws.Zeros(p.inShape...)
 	inv := 1 / float64(p.K*p.K)
 	idx := 0
 	for s := 0; s < n; s++ {

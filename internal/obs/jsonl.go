@@ -3,10 +3,14 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"sync"
 	"sync/atomic"
 )
+
+// ErrClosed is returned by Record on a closed JSONLWriter.
+var ErrClosed = errors.New("obs: write to closed JSONLWriter")
 
 // jsonlBufSize bounds the writer's only in-memory state: one bufio flush
 // window. Span volume never accumulates — a million-flight run holds a
@@ -27,6 +31,7 @@ type JSONLWriter struct {
 	n       atomic.Int64
 	dropped atomic.Int64
 	err     error
+	closed  bool
 }
 
 // NewJSONLWriter wraps w. If w is also an io.Closer, Close closes it.
@@ -44,13 +49,13 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 // stall or perturb the run — the SpanSink interface has no error return
 // by design). The loss is never silent: Err and Dropped expose it mid-run
 // and Close returns the original error, so callers that care fail loudly
-// at shutdown.
+// at shutdown. Spans arriving after Close are dropped and counted too.
 func (j *JSONLWriter) Span(s Span) {
 	j.mu.Lock()
-	if j.err == nil {
+	if j.err == nil && !j.closed {
 		j.err = j.enc.Encode(s)
 	}
-	dropped := j.err != nil
+	dropped := j.err != nil || j.closed
 	j.mu.Unlock()
 	j.n.Add(1)
 	if dropped {
@@ -60,14 +65,22 @@ func (j *JSONLWriter) Span(s Span) {
 
 // Record writes one arbitrary JSON line (e.g. a WallRecord) through the
 // same buffered stream, returning any write error immediately as well as
-// keeping it sticky. Lines written via Record are not counted by Count.
+// keeping it sticky. Lines written via Record are not counted by Count;
+// one that cannot be written (after an error, or after Close, which
+// returns ErrClosed) is counted by Dropped.
 func (j *JSONLWriter) Record(v any) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
+	switch {
+	case j.closed:
+		j.dropped.Add(1)
+		return ErrClosed
+	case j.err == nil:
+		j.err = j.enc.Encode(v)
 	}
-	j.err = j.enc.Encode(v)
+	if j.err != nil {
+		j.dropped.Add(1)
+	}
 	return j.err
 }
 
@@ -75,8 +88,9 @@ func (j *JSONLWriter) Record(v any) error {
 // after a write error).
 func (j *JSONLWriter) Count() int64 { return j.n.Load() }
 
-// Dropped returns how many spans were discarded because an earlier write
-// failed. Nonzero means the trace on disk is incomplete.
+// Dropped returns how many lines (spans and records) were discarded
+// because a write failed or the writer was closed. Nonzero means the file
+// on disk is incomplete.
 func (j *JSONLWriter) Dropped() int64 { return j.dropped.Load() }
 
 // Err returns the sticky write error, or nil if every line so far was
@@ -93,6 +107,10 @@ func (j *JSONLWriter) Err() error {
 func (j *JSONLWriter) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return j.err
+	}
+	j.closed = true
 	if err := j.bw.Flush(); j.err == nil {
 		j.err = err
 	}
