@@ -23,6 +23,7 @@ import (
 	"adaptivefl/internal/obs"
 	"adaptivefl/internal/obs/analyze"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/sched"
 	"adaptivefl/internal/wire"
 )
 
@@ -67,17 +68,14 @@ func main() {
 	// baselines keep their own synchronous loops and exact means.
 	requireAdaptive("codec", shared.Codec)
 	requireAdaptive("sched", shared.Sched)
+	requireAdaptive("trace", shared.Trace)
 	requireAdaptive("agg", shared.Agg)
 	requireAdaptive("adversary", shared.Adversary)
 	sc.Codec = shared.Codec
 	sc.Agg = shared.Agg
 	sc.Adversary = shared.Adversary
-	if shared.Sched != "" {
-		sc.Sched = shared.Sched
-		sc.Trace = shared.Trace
-	} else if shared.Trace != "" {
-		fatal(fmt.Errorf("-trace requires -sched"))
-	}
+	sc.Sched = shared.Sched
+	sc.Trace = shared.Trace
 	if shared.WireEstimate && *useFednet {
 		// Real agents answer with real payloads; there is nothing lazy
 		// to unlock and the plan-time estimate path is in-process only.
@@ -174,58 +172,59 @@ func main() {
 		exp.BestOf(curve, "full")*100, exp.BestOf(curve, "avg")*100,
 		time.Since(start).Round(time.Millisecond))
 	adaptive, ok := runner.(*baselines.Adaptive)
-	if sa, isSched := runner.(*baselines.SchedAdaptive); isSched {
-		adaptive, ok = sa.Adaptive, true
-		commits := sa.Eng.Commits()
+	if !ok {
+		return
+	}
+	policy := sc.Sched
+	if policy == "" {
+		policy = string(sched.Sync)
+	}
+	if sc.Sched != "" || sc.Trace != "" {
+		commits := adaptive.Eng.Commits()
 		reused := 0
 		for _, c := range commits {
 			reused += c.LateReused
 		}
 		fmt.Printf("simulated wall-clock (policy=%s, trace=%q): %.1fs over %d aggregations",
-			sc.Sched, sc.Trace, sa.SimTime(), len(commits))
+			policy, sc.Trace, adaptive.SimTime(), len(commits))
 		if reused > 0 {
 			fmt.Printf(", %d late uploads reused", reused)
 		}
 		fmt.Println()
 	}
-	if ok {
-		fmt.Printf("communication waste: %.2f%%\n", adaptive.Waste()*100)
-		if sc.Agg != "" || sc.Adversary != "" || strings.Contains(sc.Trace, ";") {
-			rej, clipped := 0, 0
-			for _, st := range adaptive.Srv.Stats() {
-				rej += st.Rejected
-				clipped += st.Clipped
-			}
-			fmt.Printf("robust ledger (agg=%q): %d uploads rejected, %d clipped\n", sc.Agg, rej, clipped)
+	fmt.Printf("communication waste: %.2f%%\n", adaptive.Waste()*100)
+	if sc.Agg != "" || sc.Adversary != "" || strings.Contains(sc.Trace, ";") {
+		rej, clipped := 0, 0
+		for _, st := range adaptive.Srv.Stats() {
+			rej += st.Rejected
+			clipped += st.Clipped
 		}
-		if sc.Codec != "" || *useFednet {
-			sent, back := core.TotalWireBytes(adaptive.Srv.Stats())
-			fmt.Printf("wire bytes (codec=%s): %.2f MB down, %.2f MB up\n",
-				sc.Codec, float64(sent)/1e6, float64(back)/1e6)
+		fmt.Printf("robust ledger (agg=%q): %d uploads rejected, %d clipped\n", sc.Agg, rej, clipped)
+	}
+	if sc.Codec != "" || *useFednet {
+		sent, back := core.TotalWireBytes(adaptive.Srv.Stats())
+		fmt.Printf("wire bytes (codec=%s): %.2f MB down, %.2f MB up\n",
+			sc.Codec, float64(sent)/1e6, float64(back)/1e6)
+	}
+	if sc.EstimateUp {
+		var est int64
+		for _, st := range adaptive.Srv.Stats() {
+			est += st.ReturnedBytesEst
 		}
-		if sc.EstimateUp {
-			var est int64
-			for _, st := range adaptive.Srv.Stats() {
-				est += st.ReturnedBytesEst
-			}
-			_, back := core.TotalWireBytes(adaptive.Srv.Stats())
-			fmt.Printf("uplink pricing: %.2f MB estimated vs %.2f MB actual (%+.1f%%)\n",
-				float64(est)/1e6, float64(back)/1e6, pctDelta(est, back))
+		_, back := core.TotalWireBytes(adaptive.Srv.Stats())
+		fmt.Printf("uplink pricing: %.2f MB estimated vs %.2f MB actual (%+.1f%%)\n",
+			float64(est)/1e6, float64(back)/1e6, pctDelta(est, back))
+	}
+	if *ledgerOut != "" {
+		ledger := analyze.SummarizeStats(adaptive.Srv.Stats())
+		ledger.Policy = policy
+		ledger.HasDiscounts = true
+		ledger.StalenessExp = adaptive.Eng.StalenessExp()
+		ledger.DiscountSum = adaptive.Eng.DiscountSum()
+		if err := ledger.WriteFile(*ledgerOut); err != nil {
+			fatal(err)
 		}
-		if *ledgerOut != "" {
-			ledger := analyze.SummarizeStats(adaptive.Srv.Stats())
-			ledger.Policy = "legacy"
-			if sa, isSched := runner.(*baselines.SchedAdaptive); isSched {
-				ledger.Policy = sc.Sched
-				ledger.HasDiscounts = true
-				ledger.StalenessExp = sa.Eng.StalenessExp()
-				ledger.DiscountSum = sa.Eng.DiscountSum()
-			}
-			if err := ledger.WriteFile(*ledgerOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "adaptivefl: ledger summary written to %s\n", *ledgerOut)
-		}
+		fmt.Fprintf(os.Stderr, "adaptivefl: ledger summary written to %s\n", *ledgerOut)
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/sched"
 	"adaptivefl/internal/tensor"
+	"adaptivefl/internal/testbed"
 )
 
 func testModelCfg() models.Config {
@@ -237,10 +239,14 @@ func TestScaleFLGlobalIncludesExitHeads(t *testing.T) {
 
 func TestAdaptiveRunner(t *testing.T) {
 	setup, _, test := testSetup(t, 6)
+	sim, err := testbed.NewSim(testbed.Table5Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, err := NewAdaptive(core.Config{
 		Model: setup.Model, Pool: prune.Config{P: 3},
 		ClientsPerRound: setup.K, Train: setup.Train, Seed: setup.Seed,
-	}, setup.Clients, "")
+	}, setup.Clients, sim, nil, sched.Sync, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +255,9 @@ func TestAdaptiveRunner(t *testing.T) {
 	}
 	if err := a.Round(); err != nil {
 		t.Fatal(err)
+	}
+	if a.SimTime() <= 0 {
+		t.Fatal("virtual clock did not advance")
 	}
 	acc, err := a.Evaluate(test, 30)
 	if err != nil {

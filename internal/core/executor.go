@@ -12,9 +12,9 @@ import (
 	"adaptivefl/internal/tensor"
 )
 
-// Executor bounds concurrent local-training executions. The synchronous
-// Round and the event-driven scheduler (internal/sched) both push flight
-// executions through one of these, so a whole process shares the same
+// Executor bounds concurrent local-training executions. The event-driven
+// scheduler (internal/sched) pushes every flight execution through one of
+// these, so a whole process shares the same
 // notion of training parallelism — and, through the arena pool below, the
 // same recycled training state. An Executor is cheap (a semaphore): the
 // expensive reusable state lives in the process-wide arena pool, not in

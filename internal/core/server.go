@@ -105,9 +105,8 @@ type Trainer interface {
 }
 
 // RoundStarter is an optional Trainer capability: RoundStart is invoked
-// whenever the server hands the trainer a fresh global snapshot (once per
-// synchronous round; once per aggregation under the event engine), with
-// the snapshot's version. Trainers that key derived state by snapshot
+// whenever the server hands the trainer a fresh global snapshot (at most
+// once per aggregation), with the snapshot's version. Trainers that key derived state by snapshot
 // content (ArtifactTrainer implementations) don't need it; it remains for
 // trainers that cache per-version state with no content key to evict by.
 type RoundStarter interface {
@@ -296,8 +295,8 @@ type Server struct {
 	nextID   int64
 	mu       sync.Mutex
 
-	// exec bounds this server's concurrent local trainings; Round and (by
-	// default) the event-driven scheduler both execute through it.
+	// exec bounds this server's concurrent local trainings; the
+	// event-driven scheduler executes through it by default.
 	exec *Executor
 
 	// aggPolicy/clip are the parsed Config.Agg policy (nil = the exact
@@ -531,10 +530,10 @@ type Slot struct {
 
 // Flight is one in-flight dispatch: issued via OpenFlight, executed via
 // Execute (synchronously) or ExecuteAsync (on an Executor, joined via
-// Wait), and finalised via Release/Record. The synchronous Round barriers
-// on a whole round of flights; the event-driven scheduler (internal/sched)
-// keeps flights open across virtual time, executes them lazily while the
-// virtual clock advances, and aggregates them out of order.
+// Wait), and finalised via Release/Record. The event-driven scheduler
+// (internal/sched) keeps flights open across virtual time, executes them
+// lazily while the virtual clock advances, and aggregates them in slot
+// order (sync) or out of order (the other policies).
 type Flight struct {
 	ID   int64
 	Slot Slot
@@ -634,9 +633,9 @@ func (f *Flight) Dispatch() Dispatch {
 // PlanSlots runs Algorithm 1's selection phase for up to k dispatches over
 // the clients for which eligible returns true (nil means everyone): random
 // model selection, RL client selection with shrinking candidates, and one
-// training seed per slot. On an eager population it consumes the server
-// rng in exactly the order the synchronous Round always has, so an
-// event-driven replay of the sync policy is bit-identical; a
+// training seed per slot. On an eager population it draws a full
+// permutation of the fleet per call, as Algorithm 1's round always has
+// (the sync policy's goldens pin that stream); a
 // CandidateSampler population draws a bounded candidate sample instead
 // (still purely from the server rng, so still deterministic) because
 // permuting a million-client fleet per selection is the O(N) cost this
@@ -790,6 +789,16 @@ func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
 	if !ok {
 		return nil, nil
 	}
+	pl, err := s.planLocal(lt, f)
+	if err != nil {
+		return nil, err
+	}
+	f.plan = pl
+	return pl, nil
+}
+
+// planLocal resolves an in-process flight's plan without attaching it.
+func (s *Server) planLocal(lt localTrainer, f *Flight) (*FlightPlan, error) {
 	client := s.pop.Client(f.Slot.Client)
 	got, fit := s.pool.LargestFit(f.Slot.Sent, client.Device.Capacity())
 	pl := &FlightPlan{Got: got, Failed: !fit, UpBytesKnown: s.cfg.Codec == nil}
@@ -813,7 +822,6 @@ func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
 			pl.UpBytesEst = wire.EstimateSize(s.cfg.Codec, pl.Got.Size)
 		}
 	}
-	f.plan = pl
 	return pl, nil
 }
 
@@ -840,11 +848,11 @@ func (f *Flight) planResult(skipped bool) localResult {
 }
 
 // Execute runs the flight's local training (Steps 4-5 of Algorithm 1).
-// Distinct flights may execute concurrently. A planned flight trains the
-// member its plan resolved; an unplanned one defers the whole decision to
-// the trainer.
+// Distinct flights may execute concurrently. An in-process flight trains
+// the member its plan resolved, planning itself first if nobody called
+// Plan; a custom trainer owns the whole decision.
 func (s *Server) Execute(trainer Trainer, f *Flight) {
-	if lt, ok := trainer.(localTrainer); ok && f.plan != nil {
+	if lt, ok := trainer.(localTrainer); ok {
 		f.res = s.trainPlanned(lt, f)
 	} else {
 		f.res = s.trainSlot(trainer, f)
@@ -1027,7 +1035,7 @@ func SpanOutcome(oc Outcome, d Dispatch) string {
 // FlightSpan builds the observability span for a recorded flight: the
 // ledger facts plus the RL reward read back from the updated tables.
 // Callers that own a virtual clock (internal/sched) fill the timing
-// fields; the synchronous Round path leaves them zero. Call only with an
+// fields. Call only with an
 // enabled observer — member names and the reward read are work the
 // disabled path must not do.
 func (s *Server) FlightSpan(f *Flight, d Dispatch, oc Outcome) obs.Span {
@@ -1094,92 +1102,10 @@ func (s *Server) NextRound() int {
 	return s.round
 }
 
-// PushStats appends a completed ledger entry. The synchronous Round does
-// this itself; event-driven schedulers push one entry per aggregation.
+// PushStats appends a completed ledger entry; the scheduler pushes one
+// entry per aggregation.
 func (s *Server) PushStats(st RoundStats) {
 	s.stats = append(s.stats, st)
-}
-
-// Round executes one FL round of Algorithm 1: split (the pool is static —
-// weights are sliced per dispatch), random model selection, RL client
-// selection, parallel local training with on-device pruning, RL table
-// updates, and heterogeneous aggregation. It is the synchronous
-// composition of the reentrant steps above: plan, open, execute in
-// parallel, then collect at a barrier in slot order.
-func (s *Server) Round() error {
-	round := s.NextRound()
-	slots := s.PlanSlots(s.cfg.ClientsPerRound, nil)
-	trainer, err := s.RoundTrainer(slots)
-	if err != nil {
-		return fmt.Errorf("core: round %d %w", round, err)
-	}
-	flights := make([]*Flight, len(slots))
-	for i, sl := range slots {
-		flights[i] = s.OpenFlight(sl)
-	}
-	for _, f := range flights {
-		s.ExecuteAsync(s.exec, trainer, f)
-	}
-
-	// Collect — RL table updates, ledger, aggregation, in slot order. On a
-	// training error, keep draining: every flight must still be joined and
-	// released so no execution outlives Round (a leftover worker would race
-	// the next round's capacity draws) and the in-flight set empties.
-	stats := RoundStats{Round: round}
-	var updates []agg.Update
-	var firstErr error
-	for _, f := range flights {
-		f.Wait()
-		s.Release(f)
-		if firstErr != nil {
-			continue
-		}
-		if err := f.Err(); err != nil {
-			firstErr = fmt.Errorf("core: round %d client %d: %w", round, f.Slot.Client, err)
-			continue
-		}
-		d, u := s.Record(f, Merged)
-		stats.Add(d)
-		if u != nil {
-			updates = append(updates, *u)
-		}
-		if s.cfg.Observer.Enabled() {
-			s.cfg.Observer.Span(s.FlightSpan(f, d, Merged))
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	s.stats = append(s.stats, stats)
-	if err := s.ApplyUpdates(updates); err != nil {
-		return fmt.Errorf("core: round %d aggregate: %w", round, err)
-	}
-	if s.cfg.Observer.Enabled() {
-		sp := obs.Span{Kind: obs.KindCommit, Client: -1, Round: round, Merged: len(updates)}
-		for _, d := range stats.Dispatches {
-			if d.Failed || d.Dropped {
-				sp.Failed++
-				continue
-			}
-			if d.Rejected {
-				sp.Rejected++
-				continue
-			}
-			if d.Clipped {
-				sp.Clipped++
-			}
-		}
-		s.cfg.Observer.Span(sp)
-	}
-	return nil
-}
-
-// preDecodedTrainer is an optional Trainer capability: a trainer that
-// already holds the dispatch state for a pool member reports it here so
-// the server skips an extraction the trainer would discard unread.
-// Wrapping trainers should forward this method to preserve the skip.
-type preDecodedTrainer interface {
-	PreDecodedFor(memberIndex int) bool
 }
 
 // FlightTrainer is an optional Trainer capability: a trainer that can
@@ -1203,22 +1129,18 @@ type ArtifactTrainer interface {
 	TrainArtifact(flightID int64, clientID int, sent prune.Submodel, sentState nn.State, snap uint64, seed int64) (TrainResult, error)
 }
 
-// trainSlot performs Step 4/5 for one dispatch, delegating to the given
-// Trainer (built once per round). The dispatch state comes from the
-// flight's captured snapshot, so lazily executed flights train on the
+// trainSlot performs Step 4/5 for one dispatch through a custom Trainer,
+// which owns the on-device pruning decision. The dispatch state comes from
+// the flight's captured snapshot, so lazily executed flights train on the
 // weights they were cut from even if later aggregations have moved the
 // server's state on.
 func (s *Server) trainSlot(trainer Trainer, f *Flight) localResult {
 	clientID, sent, seed := f.Slot.Client, f.Slot.Sent, f.Slot.Seed
-	var st nn.State
-	if pd, ok := trainer.(preDecodedTrainer); !ok || !pd.PreDecodedFor(sent.Index) {
-		var err error
-		if st, err = s.pool.ExtractState(f.global, sent); err != nil {
-			return localResult{err: err}
-		}
+	st, err := s.pool.ExtractState(f.global, sent)
+	if err != nil {
+		return localResult{err: err}
 	}
 	var res TrainResult
-	var err error
 	switch tr := trainer.(type) {
 	case ArtifactTrainer:
 		res, err = tr.TrainArtifact(f.ID, clientID, sent, st, f.snap, seed)
@@ -1238,10 +1160,20 @@ func (s *Server) trainSlot(trainer Trainer, f *Flight) localResult {
 		rejected: res.Rejected}
 }
 
-// trainPlanned executes a planned flight: the capacity draw already
-// happened at Plan time, so training goes straight to the resolved member.
+// trainPlanned executes an in-process flight under its plan: the capacity
+// draw already happened at Plan time, so training goes straight to the
+// resolved member.
 func (s *Server) trainPlanned(lt localTrainer, f *Flight) localResult {
 	pl := f.plan
+	if pl == nil {
+		// An unplanned flight plans itself. The plan is not stored: f.plan
+		// switches Dispatch to the plan view, which only a plan made
+		// before execution may do.
+		var err error
+		if pl, err = s.planLocal(lt, f); err != nil {
+			return localResult{err: err}
+		}
+	}
 	if pl.Failed {
 		return localResult{failed: true, got: f.Slot.Sent, sentBytes: pl.SentBytes, codec: pl.Codec}
 	}
@@ -1278,14 +1210,6 @@ type localTrainer struct {
 	// trainer per aggregation, so both stay consistent for its lifetime.
 	snap   uint64
 	global nn.State
-}
-
-// PreDecodedFor implements preDecodedTrainer: with a codec configured the
-// trainer always sources the dispatch state from the artifact store (it
-// can re-extract from its captured snapshot on a miss, even after an LRU
-// eviction), so a server-side extraction would be discarded unread.
-func (lt localTrainer) PreDecodedFor(memberIndex int) bool {
-	return lt.s.cfg.Codec != nil
 }
 
 // preFor returns the dispatch artifact for a pool member from the
@@ -1364,50 +1288,12 @@ func (lt localTrainer) trainGot(clientID int, got prune.Submodel, sentState nn.S
 	return trained, gotBytes, client.Data.Len(), false, nil
 }
 
-// TrainDispatch implements Trainer. With a codec configured, the dispatch
-// and upload both round-trip through the wire encoding so the in-process
-// run trains on — and aggregates — exactly what a networked device would
-// see, and the ledger carries the real encoded sizes. The dispatch side
-// comes from the artifact store (sentState is ignored then — the server
-// skips the extraction via PreDecodedFor), so slots sharing a member
-// share one encode.
-func (lt localTrainer) TrainDispatch(clientID int, sent prune.Submodel, sentState nn.State, seed int64) (TrainResult, error) {
-	var sentBytes int64
-	var tag string
-	if c := lt.s.cfg.Codec; c != nil {
-		art, err := lt.preFor(sent)
-		if err != nil {
-			return TrainResult{}, err
-		}
-		sentBytes, sentState = int64(len(art.Bytes)), art.State
-		tag = c.Tag()
-	}
-	client := lt.s.pop.Client(clientID)
-	capacity := client.Device.Capacity()
-	got, ok := lt.s.pool.LargestFit(sent, capacity)
-	if !ok {
-		return TrainResult{Failed: true, SentBytes: sentBytes, CodecTag: tag}, nil
-	}
-	state, gotBytes, samples, rejected, err := lt.trainGot(clientID, got, sentState, seed)
-	if err != nil {
-		return TrainResult{}, err
-	}
-	return TrainResult{State: state, Samples: samples, Got: got,
-		SentBytes: sentBytes, GotBytes: gotBytes, CodecTag: tag, Rejected: rejected}, nil
-}
-
-// Run executes rounds and invokes cb (if non-nil) after each; cb returning
-// false stops early.
-func (s *Server) Run(rounds int, cb func(round int) bool) error {
-	for r := 0; r < rounds; r++ {
-		if err := s.Round(); err != nil {
-			return err
-		}
-		if cb != nil && !cb(s.round) {
-			return nil
-		}
-	}
-	return nil
+// TrainDispatch satisfies Trainer. In-process dispatches run as flights
+// through Server.Execute, which plans them first (the capacity draw and
+// the artifact lookup live in the plan), so there is no unplanned
+// in-process path for this method to serve.
+func (localTrainer) TrainDispatch(int, prune.Submodel, nn.State, int64) (TrainResult, error) {
+	return TrainResult{}, fmt.Errorf("core: in-process dispatches execute through Server.Execute")
 }
 
 // TotalWireBytes sums the encoded payload sizes across the recorded

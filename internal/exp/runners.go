@@ -48,7 +48,28 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 			// registry only — the span stream and the simulation never see it.
 			codec = wire.Timed(codec, m)
 		}
-		a, err := baselines.NewAdaptive(core.Config{
+		// Every AdaptiveFL round commits through the event engine: the
+		// Table 5 platform prices each dispatch, the trace shapes
+		// per-client availability (weak-class devices are the straggler
+		// spec's targets; empty means AlwaysOn) and sc.Sched picks the
+		// policy (empty means sync, and the label stays unsuffixed).
+		policy := sched.Sync
+		if sc.Sched != "" {
+			if policy, err = sched.ParsePolicy(sc.Sched); err != nil {
+				return nil, err
+			}
+			label = fmt.Sprintf("%s[%s]", label, policy)
+		}
+		sim, err := testbed.NewSim(testbed.Table5Platform())
+		if err != nil {
+			return nil, err
+		}
+		weak := func(c int) bool { return fed.Clients[c].Device.Class == core.Weak }
+		availability, err := sched.ParseTrace(trace, sc.Seed+909, weak)
+		if err != nil {
+			return nil, err
+		}
+		return baselines.NewAdaptive(core.Config{
 			Model:           fed.Model,
 			Pool:            prune.Config{P: p},
 			RL:              rlCfg,
@@ -64,15 +85,7 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 			Observer:        sc.Observer,
 			Agg:             sc.Agg,
 			Adversary:       adv,
-		}, fed.Clients, label)
-		if err != nil || sc.Sched == "" {
-			return a, err
-		}
-		// The engine parses the trace itself — hand it the spec with the
-		// adversary part already stripped.
-		s := sc
-		s.Trace = trace
-		return schedRunner(a, fed, s)
+		}, fed.Clients, sim, availability, policy, label)
 	}
 	adaptive := func(mode rl.Mode, greedy bool, p int, label string) (baselines.Runner, error) {
 		return adaptiveRL(mode, greedy, p, rl.Config{}, label)
@@ -104,36 +117,6 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 		return adaptive(rl.ModeCS, false, 1, name)
 	}
 	return nil, fmt.Errorf("exp: unknown algorithm %q", name)
-}
-
-// schedRunner wraps an AdaptiveFL runner with the event-driven scheduler:
-// the Table 5 platform prices every dispatch, sc.Trace shapes per-client
-// availability (weak-class devices are the straggler spec's targets), and
-// sc.Sched picks the aggregation policy.
-func schedRunner(a *baselines.Adaptive, fed *Federation, sc Scale) (baselines.Runner, error) {
-	policy, err := sched.ParsePolicy(sc.Sched)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := testbed.NewSim(testbed.Table5Platform())
-	if err != nil {
-		return nil, err
-	}
-	weak := func(c int) bool { return fed.Clients[c].Device.Class == core.Weak }
-	trace, err := sched.ParseTrace(sc.Trace, sc.Seed+909, weak)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sched.New(a.Srv, sim, trace, sched.Config{
-		Policy:      policy,
-		K:           sc.K,
-		Epochs:      sc.LocalEpochs,
-		Parallelism: sc.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return baselines.NewSchedAdaptive(a, eng, policy), nil
 }
 
 // RunCurve advances a runner for the scale's rounds, evaluating every

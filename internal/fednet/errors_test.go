@@ -165,12 +165,16 @@ func TestRoundFailsWhenAgentDiesMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = srv.Round()
+	_, err = syncEngine(t, srv, 3).Step()
 	if err == nil {
 		t.Fatal("round succeeded with a dead agent")
 	}
 	if !strings.Contains(err.Error(), "dispatch to client") {
 		t.Fatalf("error should identify the failed dispatch, got: %v", err)
+	}
+	// The failed round still joins and releases every flight.
+	if n := srv.InFlight(); n != 0 {
+		t.Fatalf("%d flights still open after the failed round", n)
 	}
 }
 

@@ -337,6 +337,7 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 	for i, cf := range open {
 		pl, err := e.srv.Plan(trainer, cf)
 		if err != nil {
+			e.abandon(open)
 			return nil, fmt.Errorf("sched: t=%.3f %w", e.clock, err)
 		}
 		plans[i] = pl
@@ -384,6 +385,7 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 		if needJoin[i] {
 			cf.Wait()
 			if err := cf.Err(); err != nil {
+				e.abandon(open)
 				return nil, fmt.Errorf("sched: t=%.3f client %d: %w", e.clock, cf.Slot.Client, err)
 			}
 			d := cf.Dispatch()
@@ -422,6 +424,17 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 			e.clock, fl.d.Client, fl.d.Sent.Name(), fl.eta, map[bool]string{true: " will-drop"}[fl.drops])
 	}
 	return fls, nil
+}
+
+// abandon joins and releases every flight of a failed burst, so no
+// training outlives the step that reports the error and the in-flight set
+// empties.
+func (e *Engine) abandon(open []*core.Flight) {
+	for _, cf := range open {
+		cf.Wait()
+		e.srv.Release(cf)
+		delete(e.busy, cf.Slot.Client)
+	}
 }
 
 // join waits for a flight's pending training (a no-op for skipped or
@@ -620,7 +633,7 @@ func (e *Engine) commitRecorded(round int, stats core.RoundStats, updates []agg.
 
 // stepSync runs one barrier round: plan K dispatches among the available
 // clients, wait for every one of them to arrive or drop, then aggregate in
-// slot order — the legacy synchronous semantics on the virtual clock.
+// slot order — Algorithm 1's synchronous round on the virtual clock.
 func (e *Engine) stepSync() (Commit, error) {
 	if err := e.waitEligible(); err != nil {
 		return Commit{}, err

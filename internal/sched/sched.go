@@ -1,14 +1,14 @@
 // Package sched drives federated training through a deterministic
 // discrete-event simulation: a virtual clock, a seeded event queue, and
 // per-client availability traces (on/off periods, speed fluctuation,
-// mid-flight dropouts). It replaces the repository's lock-step "round"
-// control flow with events — dispatches are opened against core.Server's
-// in-flight set, priced by a cost model (internal/testbed), and collected
-// by a pluggable aggregation policy:
+// mid-flight dropouts). It is the one round engine AdaptiveFL commits
+// through: dispatches are opened against core.Server's in-flight set,
+// priced by a cost model (internal/testbed), and collected by a pluggable
+// aggregation policy:
 //
 //   - sync     — barrier on every dispatched client; under the AlwaysOn
-//     trace this reproduces the legacy synchronous Round bit-identically,
-//     and is the baseline the other policies are measured against.
+//     trace this is Algorithm 1's synchronous round. It is the default
+//     policy and the baseline the other policies are measured against.
 //   - deadline — over-select K+Δ clients and close the round as soon as K
 //     responses are in (or an absolute per-round deadline passes); late
 //     uploads still cross the wire but are discarded and ledgered as

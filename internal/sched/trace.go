@@ -23,8 +23,8 @@ type Trace interface {
 }
 
 // AlwaysOn is the trivial trace: every client reachable at nominal speed
-// forever. The sync policy under AlwaysOn reproduces the legacy
-// synchronous Round bit-identically.
+// forever. The sync policy under AlwaysOn is Algorithm 1's synchronous
+// round, and the default every AdaptiveFL runner commits through.
 type AlwaysOn struct{}
 
 // Window implements Trace.
